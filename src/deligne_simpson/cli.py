@@ -18,6 +18,7 @@ from fractions import Fraction
 from .catalog import UnsupportedIndexError, base_list, enumerate_rigid
 from .constructions import (
     MatrixTuple,
+    ScalingExhaustedError,
     build_almost_special,
     build_nice,
     make_example,
@@ -25,7 +26,7 @@ from .constructions import (
     verify_tuple,
 )
 from .jnf import JnfTuple, PreconditionViolation, classify_family
-from .reduction import SpectraSummary, is_good, reduce_chain, verdict
+from .reduction import SpectraSummary, chain_is_good, reduce_chain, verdict
 from .spectra import (
     ConstraintViolation,
     ExponentAssignment,
@@ -49,11 +50,16 @@ def _emit(obj) -> None:
 def _load(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            data = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise InputError("%s must hold a JSON object"
+                         % ("stdin" if path == "-" else path))
+    return data
 
 
 def _scan_cap() -> int:
@@ -97,7 +103,7 @@ def _alphas_from(text):
 def cmd_check(args) -> int:
     t = _tuple_from(_load(args.input))
     chain = reduce_chain(t)
-    good = is_good(t)
+    good = chain_is_good(chain)
     _emit({"good": good, "n_s": chain.final[0].n, "chain": chain.to_dict()})
     return 0 if good else 1
 
@@ -277,7 +283,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, ConstraintViolation, PreconditionViolation,
-            UnsupportedIndexError, KeyError, ValueError) as exc:
+            UnsupportedIndexError, ScalingExhaustedError, KeyError,
+            ValueError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
 

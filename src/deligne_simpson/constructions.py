@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .exactmat import (
     Mat,
+    NotNilpotentError,
     Poly,
     algebra_closure_dim,
     centralizer_dim,
@@ -694,7 +695,7 @@ def verify_tuple(t: MatrixTuple, expected: Optional[JnfTuple] = None
         try:
             types.append(jordan_type_nilpotent(m))
             flags.append(True)
-        except Exception:
+        except NotNilpotentError:
             types.append(None)
             flags.append(False)
     types_match: Optional[bool] = None

@@ -198,22 +198,27 @@ def reduce_chain(t: JnfTuple) -> ReductionChain:
         stages.append((nxt, condition_report(nxt)))
 
 
-def is_good(t: JnfTuple) -> bool:
-    """Solvability criterion for generic eigenvalues.
+def chain_is_good(chain: ReductionChain) -> bool:
+    """Solvability criterion for generic eigenvalues, read off the full
+    reduction chain of the tuple.
 
     True iff the top-level alpha and beta inequalities hold and the chain
     ends in a stage satisfying the rank inequality or of size one.  Tuples
     of size one are good outright (deleted-form inequalities are vacuous
     there even though the formula reads 0 >= 1).
     """
+    t, top = chain.stages[0]
     if t.n == 1:
         return True
-    top = condition_report(t)
     if not (top.alpha_holds and top.beta_holds):
         return False
-    chain = reduce_chain(t)
     final_t, final_rep = chain.final
     return final_rep.omega_holds or final_t.n == 1
+
+
+def is_good(t: JnfTuple) -> bool:
+    """Solvability criterion for generic eigenvalues (see chain_is_good)."""
+    return chain_is_good(reduce_chain(t))
 
 
 _CONJ1 = ("open case: the dimension inequality holds with equality (kappa = 0); "

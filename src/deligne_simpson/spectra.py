@@ -12,14 +12,28 @@ A relation picks the same number kappa of eigenvalue slots from every form;
 it is recorded by its per-label counts.  Slots of one label may differ by
 the integer offsets allowed on the last form, so one count profile can
 realize several integer values; the scan keeps track of that.
+
+Scan order is kappa, then the count vectors of the forms in lexicographic
+order, then the values of a count profile in increasing order;
+``iter_relations`` enumerates it in full and is kept as the reference.
+The queries (first violated relation, distance, relative genericity, the
+violated profiles below a bound) run instead on one split scan, the
+meet-in-the-middle of Horowitz and Sahni's subset-sum algorithm: per kappa,
+the options of the trailing half of the forms are indexed once by their
+scaled integer value mod the common denominator, and the leading half is
+streamed in scan order against that index.  A scan then visits the
+leading and the trailing option combinations once each, not their product,
+and holds only the trailing index in memory.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .jnf import JnfTuple, PreconditionViolation
@@ -289,8 +303,94 @@ def iter_relations(a: ExponentAssignment, kappa_min: int = 1,
         yield from rec(0, [], (ZERO,))
 
 
-def _is_violated(value: Fraction, integer_test: bool) -> bool:
-    return value.denominator == 1 if integer_test else value == 0
+# ---------------------------------------------------------------------------
+# Split relation scan
+
+
+def _int_options(data, kappa: int, scale: int) -> list[tuple]:
+    """Options of one form for kappa, in iter_relations order, scaled to ints.
+
+    Each option is (counts, base, extras): the base value times ``scale``
+    and the sorted distinct offset sums times ``scale``.
+    """
+    options = []
+    for cvec in _count_vectors([m for _, _, m, _ in data], kappa):
+        counts, base, extras = [], 0, {0}
+        for c, (lab, v, _, offs) in zip(cvec, data):
+            if c:
+                counts.append((lab, c))
+                base += c * v.numerator * (scale // v.denominator)
+                if any(offs):
+                    extras = {e + scale * o
+                              for e in extras for o in _offset_sums(offs, c)}
+        options.append((tuple(counts), base, sorted(extras)))
+    return options
+
+
+class _SplitScan:
+    """The relations of one kappa, met in the middle.
+
+    All values are scaled by D, the lcm of the value denominators, so a
+    relation is integer-valued iff its scaled value is 0 mod D.  The leading
+    half of the forms is streamed in scan order; the trailing half (which
+    holds the last form, the only one with offsets) is built once into
+    buckets keyed by value mod D, or by exact value for the zero test.  A
+    bucket holds the sorted (value, trailing index) pairs, the trailing
+    index being the position of the trailing option combination in
+    lexicographic order.  Scan order is then (kappa, leading index,
+    trailing index, value).
+    """
+
+    def __init__(self, kappa: int, options: list, scale: int, exact: bool):
+        self.kappa, self.scale, self.exact = kappa, scale, exact
+        half = (len(options) + 1) // 2
+        self.lead, self.trail = options[:half], options[half:]
+        buckets: dict[int, list] = {}
+        for tidx, combo in enumerate(product(*self.trail)):
+            values = {0}
+            for _, base, extras in combo:
+                values = {v + base + e for v in values for e in extras}
+            for v in values:
+                buckets.setdefault(v if exact else v % scale, []).append((v, tidx))
+        for bucket in buckets.values():
+            bucket.sort()
+        self.buckets = buckets
+
+    def hits(self):
+        """(leading index, leading sum, bucket) for every leading prefix,
+        in scan order, whose bucket of violating trailing values is not empty."""
+        *outer, inner = self.lead
+        inner_bases = [base for _, base, _ in inner]
+        buckets, scale, exact = self.buckets, self.scale, self.exact
+        for idx in product(*(range(len(opts)) for opts in outer)):
+            s0 = sum(outer[j][i][1] for j, i in enumerate(idx))
+            for i, b in enumerate(inner_bases):
+                s = s0 + b
+                bucket = buckets.get(-s if exact else -s % scale)
+                if bucket:
+                    yield idx + (i,), s, bucket
+
+    def profile(self, lidx: tuple, tidx: int) -> tuple:
+        """Count profile of the relation at these leading and trailing indices."""
+        tail = []
+        for opts in reversed(self.trail):
+            tidx, i = divmod(tidx, len(opts))
+            tail.append(opts[i][0])
+        return tuple([self.lead[j][i][0] for j, i in enumerate(lidx)] + tail[::-1])
+
+
+def _split_scans(a: ExponentAssignment, exact: bool = False,
+                 kappa_min: int = 1):
+    """One _SplitScan per kappa, kappa_min <= kappa < n, built lazily."""
+    scale = 1
+    for vj in a.values:
+        for v in vj.values():
+            scale = lcm(scale, v.denominator)
+    forms = [_label_data(a, j) for j in range(a.n_forms)]
+    for kappa in range(max(1, kappa_min), a.n):
+        options = [_int_options(data, kappa, scale) for data in forms]
+        if all(options):
+            yield _SplitScan(kappa, options, scale, exact)
 
 
 def find_relation(a: ExponentAssignment, mode: str = "strongly-generic",
@@ -304,9 +404,12 @@ def find_relation(a: ExponentAssignment, mode: str = "strongly-generic",
     if mode not in ("generic", "strongly-generic"):
         raise ValueError("unknown mode %r" % mode)
     integer_test = mode == "strongly-generic" or a.version == "multiplicative"
-    for kappa, counts, value in iter_relations(a, kappa_min=kappa_min):
-        if _is_violated(value, integer_test):
-            return Relation(kappa, counts, value)
+    for scan in _split_scans(a, exact=not integer_test, kappa_min=kappa_min):
+        for lidx, s, bucket in scan.hits():
+            # the first entry of least trailing index has its least value
+            v, tidx = min(bucket, key=itemgetter(1))
+            return Relation(scan.kappa, scan.profile(lidx, tidx),
+                            Fraction(s + v, scan.scale))
     return None
 
 
@@ -337,9 +440,10 @@ def is_relatively_generic(a: ExponentAssignment, inv: SpectraInvariants) -> bool
     if inv.q <= 1 or e <= 1:
         raise PreconditionViolation("needs q > 1 and non-primitive xi")
     allowed = set(_gamma_star_profiles(a, e))
-    for kappa, counts, value in iter_relations(a):
-        if _is_violated(value, True) and counts not in allowed:
-            return False
+    for scan in _split_scans(a):
+        for lidx, _, bucket in scan.hits():
+            if any(scan.profile(lidx, tidx) not in allowed for _, tidx in bucket):
+                return False
     return True
 
 
@@ -364,29 +468,38 @@ def distance(a: ExponentAssignment, exclude_gamma_star: bool = False
         if e > 1:
             excluded = set(_gamma_star_profiles(a, e))
     best: Optional[int] = None
-    for kappa, counts, value in iter_relations(a):
-        if value.denominator != 1 or counts in excluded:
-            continue
-        m = abs(int(value))
-        if best is None or m < best:
-            best = m
-            if best == 0 and not excluded:
-                break
+    for scan in _split_scans(a):
+        for lidx, s, bucket in scan.hits():
+            # nearest admissible value to -s on either side of it
+            pos = bisect_left(bucket, (-s,))
+            for side in (range(pos - 1, -1, -1), range(pos, len(bucket))):
+                for i in side:
+                    v, tidx = bucket[i]
+                    if excluded and scan.profile(lidx, tidx) in excluded:
+                        continue
+                    m = abs(s + v) // scan.scale
+                    if best is None or m < best:
+                        best = m
+                        if best == 0:
+                            return 0
+                    break
     return best
 
 
 def _violated_profiles_below(a: ExponentAssignment, h: int,
                              excluded: set) -> list[tuple]:
-    """Distinct count profiles with an integer value of magnitude < h."""
+    """Distinct count profiles with an integer value of magnitude < h,
+    in order of first appearance in the scan."""
     seen = []
-    have = set()
-    for kappa, counts, value in iter_relations(a):
-        if value.denominator != 1 or abs(int(value)) >= h:
-            continue
-        if counts in excluded or counts in have:
-            continue
-        have.add(counts)
-        seen.append(counts)
+    for scan in _split_scans(a):
+        bound = h * scan.scale
+        for lidx, s, bucket in scan.hits():
+            lo = bisect_left(bucket, (1 - bound - s,))
+            hi = bisect_left(bucket, (bound - s,))
+            for tidx in sorted({tidx for _, tidx in bucket[lo:hi]}):
+                counts = scan.profile(lidx, tidx)
+                if counts not in excluded:
+                    seen.append(counts)
     return seen
 
 

@@ -188,6 +188,30 @@ class TestConstructVerifyRoundTrip:
         assert json.loads(out)["zero_sum"] is False
 
 
+class TestErrorsExitTwo:
+    def test_non_object_json_on_stdin(self, capsys, monkeypatch):
+        import io
+        for command in ("spectra", "verdict", "generic", "check", "verify"):
+            monkeypatch.setattr("sys.stdin", io.StringIO("[1, 2]"))
+            code, out = run(capsys, command, "-")
+            assert code == 2, command
+            assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_scaling_exhausted(self, tmp_path, capsys):
+        # B = -I on the first block (weights 1, 2, 3): a repeated nonzero
+        # eigenvalue that no scaling constant separates
+        def tup(a, b):
+            zero = {"n": 2, "entries": [["0", "0"], ["0", "0"]]}
+            return {"alphas": ["1", "2", "3"], "zero_sum": True,
+                    "mats": [{"n": 2, "entries": a}, {"n": 2, "entries": b}, zero]}
+        blocks = [tup([["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]),
+                  tup([["0", "1"], ["0", "0"]], [["0", "-1"], ["0", "0"]])]
+        path = write(tmp_path, "blocks.json", {"blocks": blocks})
+        code, out = run(capsys, "construct", "--nice", path, "--m0", "1")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ScalingExhaustedError"
+
+
 class TestStdinAndVerifyDetail:
     def test_check_from_stdin(self, capsys, monkeypatch):
         import io

@@ -3,18 +3,24 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, gcd
 
 import pytest
 
+from deligne_simpson import spectra
 from deligne_simpson.jnf import JnfTuple, JordanForm, PreconditionViolation
 from deligne_simpson.spectra import (
     ConstraintViolation,
     ExponentAssignment,
+    Relation,
     SearchExhausted,
+    _gamma_star_profiles,
+    _violated_profiles_below,
     distance,
     find_relation,
     genericize,
     is_relatively_generic,
+    iter_relations,
     spectra_invariants,
 )
 
@@ -388,3 +394,199 @@ class TestGenericize:
             d = brute_distance(out)
             assert d is None or d >= 4
             done += 1
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the exhaustive scans over iter_relations that the
+# split scan replaces, compared for exact equality of their results
+
+
+def oracle_find_relation(a, mode="strongly-generic", kappa_min=1):
+    integer_test = mode == "strongly-generic" or a.version == "multiplicative"
+    for kappa, counts, value in iter_relations(a, kappa_min=kappa_min):
+        if value.denominator == 1 if integer_test else value == 0:
+            return Relation(kappa, counts, value)
+    return None
+
+
+def oracle_is_relatively_generic(a, inv):
+    allowed = set(_gamma_star_profiles(a, gcd(inv.m0, inv.q)))
+    return all(value.denominator != 1 or counts in allowed
+               for _, counts, value in iter_relations(a))
+
+
+def mult_gcd(a):
+    q = 0
+    for mj in a.mults:
+        for m in mj.values():
+            q = gcd(q, m)
+    return q
+
+
+def oracle_distance(a, exclude_gamma_star=False):
+    excluded = set()
+    if exclude_gamma_star:
+        q = mult_gcd(a)
+        e = gcd(int(a.total_sum()) % q, q)
+        if e > 1:
+            excluded = set(_gamma_star_profiles(a, e))
+    dists = [abs(int(value)) for _, counts, value in iter_relations(a)
+             if value.denominator == 1 and counts not in excluded]
+    return min(dists, default=None)
+
+
+def oracle_profiles_below(a, h, excluded):
+    seen = []
+    for _, counts, value in iter_relations(a):
+        if value.denominator != 1 or abs(int(value)) >= h:
+            continue
+        if counts not in excluded and counts not in seen:
+            seen.append(counts)
+    return seen
+
+
+def random_mults(rng, n, q=1):
+    """Random label multiplicities summing to n, all divisible by q."""
+    parts = []
+    left = n // q
+    while left:
+        m = rng.randint(1, min(left, 3))
+        parts.append(m * q)
+        left -= m
+    rng.shuffle(parts)
+    return {"e%d" % (i + 1): m for i, m in enumerate(parts)}
+
+
+def random_assignment(rng, n, n_forms, version, den, q=1, offsets=False,
+                      even_total=False):
+    """Seeded exponent assignment meeting the total constraint.
+
+    The last label of the last form absorbs the constraint: total 0
+    (additive), an integer total, or an even one with even_total.  The
+    last form may carry integer offsets on labels of multiplicity >= 2.
+    """
+    while True:
+        mults = [random_mults(rng, n, q) for _ in range(n_forms)]
+        # distinct residues per form (den must be at least the label count)
+        values = [{lab: F(k + den * rng.randint(-2, 1), den)
+                   for lab, k in zip(mj, rng.sample(range(den), len(mj)))}
+                  for mj in mults]
+        offs = {}
+        if offsets:
+            for lab, m in mults[-1].items():
+                if m > 1 and rng.random() < 0.6:
+                    offs[lab] = [rng.randint(-2, 1) for _ in range(m)]
+        fix = sorted(mults[-1])[-1]
+        partial = sum((mults[j][lab] * v for j, vj in enumerate(values)
+                       for lab, v in vj.items()
+                       if (j, lab) != (n_forms - 1, fix)), F(0))
+        partial += sum(sum(o) for o in offs.values())
+        target = 0 if version == "additive" else ceil(partial)
+        if even_total:
+            target += target % 2
+        values[-1][fix] = (target - partial) / mults[-1][fix]
+        try:
+            return ExponentAssignment(version, values, mults, offs)
+        except ConstraintViolation:
+            continue
+
+
+def random_cases(seed, count, **kwargs):
+    """Assignments of p + 1 forms, p = 1..3, with n <= 7 (n <= 5 for p = 3)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.randint(1, 3)
+        n = rng.randint(2, (7, 7, 5)[p - 1])
+        den = rng.choice([d for d in (2, 3, 4, 6, 12, 101) if d >= n])
+        yield random_assignment(rng, n, p + 1, den=den, **kwargs)
+
+
+def decide_residues(rng, mvs, den=11):
+    """Residues shaped like the lifts of the decide benchmark: distinct per
+    form, with the last label (multiplicity 1) of the last form fixing an
+    integer total."""
+    while True:
+        values = [{"e%d" % (i + 1): F(k, den)
+                   for i, k in enumerate(rng.sample(range(1, den), len(mv)))}
+                  for mv in mvs]
+        total = sum(m * v for mv, vj in zip(mvs, values)
+                    for m, v in zip(mv, vj.values()))
+        fix = "e%d" % len(mvs[-1])
+        values[-1][fix] = (values[-1][fix] - total) % 1
+        mults = [{"e%d" % (i + 1): m for i, m in enumerate(mv)} for mv in mvs]
+        try:
+            ExponentAssignment("multiplicative", values, mults)
+        except ConstraintViolation:
+            continue
+        return values
+
+
+class TestSplitScanAgainstOracle:
+    def test_find_relation(self):
+        for version in ("multiplicative", "additive"):
+            for a in random_cases(61, 40, version=version, offsets=True):
+                for mode in ("generic", "strongly-generic"):
+                    assert find_relation(a, mode) == oracle_find_relation(a, mode)
+
+    def test_find_relation_kappa_min(self):
+        for a in random_cases(62, 30, version="multiplicative", offsets=True):
+            kmin = random.Random(a.n).randint(2, max(2, a.n - 1))
+            assert find_relation(a, kappa_min=kmin) == \
+                oracle_find_relation(a, kappa_min=kmin)
+
+    def test_distance(self):
+        for a in random_cases(63, 40, version="additive", offsets=True):
+            assert distance(a) == oracle_distance(a)
+
+    def test_distance_exclude_gamma_star(self):
+        rng = random.Random(64)
+        for _ in range(30):
+            q = rng.choice((2, 3))
+            n = q * rng.randint(1, 3)
+            a = random_assignment(rng, n, rng.randint(2, 4), "additive",
+                                  den=rng.choice((3, 4, 6)), q=q,
+                                  offsets=rng.random() < 0.5)
+            for flag in (False, True):
+                assert distance(a, flag) == oracle_distance(a, flag)
+
+    def test_profiles_below(self):
+        for a in random_cases(65, 40, version="additive", offsets=True):
+            for h in (0, 1, 3):
+                # exclude the first profile the oracle meets, if any
+                excluded = set(oracle_profiles_below(a, h, set())[:1])
+                assert _violated_profiles_below(a, h, excluded) == \
+                    oracle_profiles_below(a, h, excluded)
+
+    def test_relatively_generic(self):
+        rng = random.Random(66)
+        checked = 0
+        while checked < 30:
+            q = rng.choice((2, 3))
+            n = q * rng.randint(1, 3)
+            a = random_assignment(rng, n, rng.randint(2, 4), "multiplicative",
+                                  den=rng.choice((3, 4, 6, 12)), q=q,
+                                  offsets=rng.random() < 0.5, even_total=q == 2)
+            q = mult_gcd(a)
+            m0 = int(a.total_sum()) % q
+            if gcd(m0, q) <= 1:
+                continue
+            # d plays no part in relative genericity
+            inv = spectra.SpectraInvariants(q=q, d=1, m0=m0, xi_primitive=False)
+            assert is_relatively_generic(a, inv) == oracle_is_relatively_generic(a, inv)
+            checked += 1
+
+    def test_genericize_matches_oracle_search(self, monkeypatch):
+        rng = random.Random(67)
+        cases = []
+        for n, p in [(4, 2), (5, 2), (4, 3), (4, 1)]:
+            mvs = [[1] * n] * p + [[2] + [1] * (n - 2)]
+            t = JnfTuple([JordanForm.diagonal(mv) for mv in mvs])
+            cases.append((decide_residues(rng, mvs), t, "A"))
+        t, a = second_example()
+        cases.append((a.values, t, "B"))
+        lifts = [genericize(values, t, h=3, mode=mode) for values, t, mode in cases]
+        monkeypatch.setattr(spectra, "_violated_profiles_below",
+                            oracle_profiles_below)
+        for (values, t, mode), lift in zip(cases, lifts):
+            want = genericize(values, t, h=3, mode=mode)
+            assert lift.to_dict() == want.to_dict()
