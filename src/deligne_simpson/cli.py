@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .catalog import UnsupportedIndexError, base_list, enumerate_rigid
 from .constructions import (
@@ -25,6 +24,7 @@ from .constructions import (
     make_merged,
     verify_tuple,
 )
+from .exactmat import json_list, rat_from_str
 from .jnf import JnfTuple, PreconditionViolation, classify_family
 from .reduction import SpectraSummary, chain_is_good, reduce_chain, verdict
 from .spectra import (
@@ -76,24 +76,30 @@ def _check_scan_size(n: int) -> None:
             "relation scan needs n <= %d (DSP_MAX_N); got n = %d" % (cap, n))
 
 
-def _tuple_from(d: dict) -> JnfTuple:
+def _parse(what: str, from_dict, d):
+    """from_dict(d), reporting malformed input as an InputError."""
     try:
-        return JnfTuple.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad Jordan form tuple: %s" % exc)
+        return from_dict(d)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError("bad %s: %s" % (what, exc))
 
 
-def _assignment_from(d: dict) -> ExponentAssignment:
-    try:
-        return ExponentAssignment.from_dict(d)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("bad exponent assignment: %s" % exc)
+def _tuple_from(d) -> JnfTuple:
+    return _parse("Jordan form tuple", JnfTuple.from_dict, d)
+
+
+def _assignment_from(d) -> ExponentAssignment:
+    return _parse("exponent assignment", ExponentAssignment.from_dict, d)
+
+
+def _matrix_tuple_from(d) -> MatrixTuple:
+    return _parse("matrix tuple", MatrixTuple.from_dict, d)
 
 
 def _alphas_from(text):
     if not text:
         return None
-    return [Fraction(x) for x in text.split(",")]
+    return [rat_from_str(x) for x in text.split(",")]
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +177,7 @@ def cmd_construct(args) -> int:
         out = build_almost_special(args.almost_special, args.g, alphas)
     elif args.nice:
         data = _load(args.nice)
-        blocks = [MatrixTuple.from_dict(b) for b in data["blocks"]]
+        blocks = [_matrix_tuple_from(b) for b in json_list(data["blocks"])]
         out = build_nice(blocks, args.m0, alphas)
     else:
         raise InputError("construct needs --example, --almost-special or --nice")
@@ -186,7 +192,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    t = MatrixTuple.from_dict(_load(args.input))
+    t = _matrix_tuple_from(_load(args.input))
     expected = None
     if args.expected:
         expected = _tuple_from(_load(args.expected))

@@ -31,12 +31,15 @@ from .exactmat import (
     algebra_closure_dim,
     centralizer_dim,
     charpoly,
+    coboundary_rows,
     jordan_nilpotent_matrix,
     jordan_type_nilpotent,
+    json_list,
     mat_sum,
     nilpotent_jordan_basis,
     poly_gcd,
     rank,
+    rat_from_str,
     rational_rank,
     solve_coboundary_sum,
 )
@@ -113,10 +116,12 @@ class MatrixTuple:
 
     @staticmethod
     def from_dict(d: dict) -> "MatrixTuple":
-        return MatrixTuple(
-            tuple(Mat.from_dict(m) for m in d["mats"]),
-            tuple(Fraction(a) for a in d["alphas"]),
-        )
+        mats = tuple(Mat.from_dict(m) for m in json_list(d["mats"]))
+        alphas = tuple(rat_from_str(a) for a in json_list(d["alphas"]))
+        if not mats or len(mats) - len(alphas) not in (0, 1):
+            raise ValueError("need matrices with one weight each, "
+                             "or one extra matrix last")
+        return MatrixTuple(mats, alphas)
 
 
 def default_alphas(count: int) -> tuple[Fraction, ...]:
@@ -187,15 +192,11 @@ def _second_method(n: int, superdiag: Sequence, t1, t2) -> Mat:
     return Mat.from_entries(n, entries)
 
 
+# ex3 at n = 6; ex7 at n = 5 is the same without the fifth superdiagonal entry
 _EX3_BASE = {
     "A1": ([1, 1, 1, 1, 1], 1, -1),
     "A2": ([-1, -1, 0, -1, -1], 0, 0),
     "A3": ([0, 0, -1, 0, 0], -1, 1),
-}
-_EX7_BASE = {
-    "A1": ([1, 1, 1, 1], 1, -1),
-    "A2": ([-1, -1, 0, -1], 0, 0),
-    "A3": ([0, 0, -1, 0], -1, 1),
 }
 _EX456 = {
     "ex4": (9, [([1, 1, 1, 0, 1, 1, 1, 1], 1, -1),
@@ -264,18 +265,13 @@ def make_example(example: str, n: Optional[int] = None,
             raise SizeUnsupportedError("ex3 needs even n >= 6")
         if not even and (n < 5 or n % 2 == 0):
             raise SizeUnsupportedError("ex7 needs odd n >= 5")
-        base = _EX3_BASE if even else _EX7_BASE
         extra = (n - 6) // 2 if even else (n - 5) // 2
         packs = {"A1": [1, 1], "A2": [0, -1], "A3": [-1, 0]}
         rows = []
         for key in ("A1", "A2", "A3"):
-            sd, t1, t2 = base[key]
-            if even:
-                # widen after the fourth superdiagonal slot
-                sd = list(sd[:4]) + packs[key] * extra + list(sd[4:])
-            else:
-                # widen just before the two tail entries
-                sd = list(sd) + packs[key] * extra
+            sd, t1, t2 = _EX3_BASE[key]
+            # widen after the fourth superdiagonal slot
+            sd = sd[:4] + packs[key] * extra + (sd[4:] if even else [])
             rows.append((sd, t1, t2))
         mats = tuple(_second_method(n, sd, t1, t2) for sd, t1, t2 in rows)
     elif example in _EX456:
@@ -320,28 +316,11 @@ def make_merged(n: int, r1: int, r2: int) -> tuple[Mat, Mat, Mat]:
 # Block-glued constructions
 
 
-def _coboundary_map_rank(tuple_a: Sequence[Mat], tuple_b: Sequence[Mat]) -> int:
-    """Rank of (D_j) -> sum A_j D_j - D_j B_j on tuples of square blocks."""
-    b = tuple_a[0].n
-    rows = []
-    for u in range(b):
-        for v in range(b):
-            row = []
-            for aj, bj in zip(tuple_a, tuple_b):
-                block = [F(0)] * (b * b)
-                for k in range(b):
-                    block[k * b + v] += aj.rows[u][k]
-                    block[u * b + k] -= bj.rows[k][v]
-                row.extend(block)
-            rows.append(row)
-    return rational_rank(rows)
-
-
 def blocks_equivalent(tuple_a: Sequence[Mat], tuple_b: Sequence[Mat]) -> bool:
     """Equivalence probe: the pair coboundary map of two inequivalent
     irreducible tuples is onto, so a rank defect certifies equivalence."""
     b = tuple_a[0].n
-    return _coboundary_map_rank(tuple_a, tuple_b) < b * b
+    return rational_rank(coboundary_rows(list(zip(tuple_a, tuple_b)))) < b * b
 
 
 def _nonzero_roots_simple(cp: Poly) -> tuple[bool, int, int]:

@@ -5,13 +5,20 @@ exact: ranks, characteristic polynomials, generated-algebra dimensions,
 centralizer dimensions and the block-gluing linear solves all certify their
 answers over Q (which, for rational input, agree with the answers over C).
 
-Rank-type computations clear denominators row by row and then run
-fraction-free integer elimination with gcd normalization, which keeps the
-intermediate entries small.
+There is one elimination kernel, ``IntSpan``: rows are cleared of
+denominators and reduced fraction-free with gcd stripping (Bareiss, Math.
+Comp. 22, 1968), which keeps the intermediate entries small.  A rank is the
+dimension of a span; kernels, linear solves and inverses are one
+back-substitution over its pivot rows with the free variables set to 0.
+Pivot columns are an invariant of the row space, so those answers are
+unique.  The commutator and coboundary systems behind centralizers, the
+block-equivalence probe and the gluing solves come from one row builder,
+``coboundary_rows``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -28,12 +35,26 @@ class NoSolutionError(ValueError):
     """Raised when a linear system has no exact solution."""
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def rat_to_str(x: Fraction) -> str:
-    return str(x)
+def rat_from_str(s) -> Fraction:
+    """Parse a JSON rational: a string matching -?d+(/d+)? with a nonzero
+    denominator.  Anything else, an exponent or a non-string included,
+    raises ValueError; so do numerals longer than int() accepts."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError("rational must be a string 'p' or 'p/q', got %.40r" % (s,))
+    num, _, den = s.partition("/")
+    if den and not int(den):
+        raise ValueError("zero denominator in %.40r" % (s,))
+    return Fraction(int(num), int(den or 1))
+
+
+def json_list(x) -> list:
+    """x if it is a JSON array (a string or an object is not)."""
+    if type(x) is not list:
+        raise ValueError("expected a JSON array, got %.40r" % (x,))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +118,6 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._check(other)
-        n = self.n
         cols = list(zip(*other.rows))
         return Mat([[sum((a * b for a, b in zip(row, col) if a and b), ZERO)
                      for col in cols] for row in self.rows])
@@ -114,9 +134,6 @@ class Mat:
             out = out @ self
         return out
 
-    def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)))
-
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)
 
@@ -124,25 +141,15 @@ class Mat:
         return sum((self.rows[i][i] for i in range(self.n)), ZERO)
 
     def inv(self) -> "Mat":
-        """Exact inverse via Gauss-Jordan; raises NoSolutionError if singular."""
+        """Exact inverse, column j solving self x = e_j over the span of the
+        rows of [self | I]; raises NoSolutionError if singular."""
         n = self.n
-        a = [list(row) for row in self.rows]
-        b = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise NoSolutionError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv_p = ONE / a[col][col]
-            a[col] = [x * inv_p for x in a[col]]
-            b[col] = [x * inv_p for x in b[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return Mat(b)
+        span = IntSpan(2 * n, (list(row) + [ONE if j == i else ZERO for j in range(n)]
+                               for i, row in enumerate(self.rows)))
+        if max(span.pivots) >= n:
+            raise NoSolutionError("matrix is singular")
+        cols = [span.back_substitute(n + j) for j in range(n)]
+        return Mat([[col[i] for col in cols] for i in range(n)])
 
     def conjugate_by(self, p: "Mat") -> "Mat":
         """Return p^-1 @ self @ p."""
@@ -154,12 +161,13 @@ class Mat:
 
     def to_dict(self) -> dict:
         return {"n": self.n,
-                "entries": [[rat_to_str(x) for x in row] for row in self.rows]}
+                "entries": [[str(x) for x in row] for row in self.rows]}
 
     @staticmethod
     def from_dict(d: dict) -> "Mat":
-        m = Mat([[rat_from_str(x) for x in row] for row in d["entries"]])
-        if m.n != d["n"]:
+        m = Mat([[rat_from_str(x) for x in json_list(row)]
+                 for row in json_list(d["entries"])])
+        if type(d["n"]) is not int or m.n != d["n"]:
             raise ValueError("matrix size field disagrees with entries")
         return m
 
@@ -172,21 +180,7 @@ def mat_sum(ms: Sequence[Mat]) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Integer row reduction (fraction-free)
-
-
-def _int_row(row: Sequence[Fraction]) -> list[int]:
-    """Clear denominators of a rational row and strip its integer content."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    out = [int(x * den) for x in row]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+# The elimination kernel (fraction-free)
 
 
 def _normalize_int_row(row: list[int]) -> list[int]:
@@ -198,52 +192,29 @@ def _normalize_int_row(row: list[int]) -> list[int]:
     return row
 
 
-def _rank_int_rows(rows: list[list[int]]) -> int:
-    """Rank of integer rows by fraction-free elimination with gcd stripping."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    for col in range(width):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                c = rows[i][col]
-                rows[i] = _normalize_int_row(
-                    [pv * a - c * b for a, b in zip(rows[i], rows[rank])])
-        rows = rows[:rank + 1] + [r for r in rows[rank + 1:] if any(r)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a list of rational rows."""
-    return _rank_int_rows([_int_row(r) for r in rows])
-
-
-def rank(m: Mat) -> int:
-    """Rank of m over Q (equal to the rank over C for rational matrices)."""
-    return rational_rank(m.rows)
+def _int_row(row: Sequence[Fraction]) -> list[int]:
+    """Clear denominators of a rational row and strip its integer content."""
+    den = 1
+    for x in row:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return _normalize_int_row([x.numerator * (den // x.denominator) for x in row])
 
 
 class IntSpan:
     """Incrementally built row space over Q, rows kept integer-normalized.
 
-    Rows are reduced against earlier pivots only; enough to count dimension
-    and test membership.
+    An inserted row is reduced fraction-free against the stored rows in
+    insertion order and kept, if nonzero, with its first nonzero column as
+    pivot.  So row i vanishes in the pivot columns of rows 0..i-1, and the
+    pivots are exactly the pivot columns of the reduced row echelon form.
     """
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, rows: Iterable[Sequence[Fraction]] = ()):
         self.width = width
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        for row in rows:
+            self.insert(row)
 
     @property
     def dim(self) -> int:
@@ -267,8 +238,32 @@ class IntSpan:
         self.pivots.append(piv)
         return True
 
-    def contains(self, row: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(_int_row(row)))
+    def back_substitute(self, col: int) -> list[Fraction]:
+        """The x that is 0 off the pivot columns and has, for every stored
+        row, sum over pivots p of row[p] * x[p] equal to row[col].
+
+        With col an appended right-hand side this solves the system with
+        free variables 0; with col a free column, e_col - x is the kernel
+        vector of that column.  Rows are solved last to first, so the
+        pivots each row meets are already known.
+        """
+        x = [ZERO] * self.width
+        done: list[int] = []
+        for piv, row in zip(reversed(self.pivots), reversed(self.rows)):
+            acc = row[col] - sum(row[p] * x[p] for p in done if row[p])
+            x[piv] = Fraction(acc, row[piv])
+            done.append(piv)
+        return x
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q of a list of rational rows."""
+    return IntSpan(len(rows[0]) if rows else 0, rows).dim
+
+
+def rank(m: Mat) -> int:
+    """Rank of m over Q (equal to the rank over C for rational matrices)."""
+    return rational_rank(m.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +390,7 @@ class Poly:
         return next(k for k, c in enumerate(self.coeffs) if c != 0)
 
     def to_list(self) -> list[str]:
-        return [rat_to_str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_list(cs: Sequence[str]) -> "Poly":
-        return Poly([rat_from_str(c) for c in cs])
+        return [str(c) for c in self.coeffs]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -477,40 +468,16 @@ def jordan_type_nilpotent(m: Mat) -> tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
-def is_nilpotent(m: Mat) -> bool:
-    try:
-        jordan_type_nilpotent(m)
-        return True
-    except NotNilpotentError:
-        return False
-
-
 def kernel_basis(m: Mat) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of m, via reduced row echelon form."""
-    n = m.n
-    rows = [list(r) for r in m.rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of the right kernel of m: one vector per free column fc, with
+    1 at fc and 0 at the other free columns."""
+    span = IntSpan(m.n, m.rows)
     basis = []
-    for fc in free:
-        vec = [ZERO] * n
-        vec[fc] = ONE
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(tuple(vec))
+    for fc in range(m.n):
+        if fc not in span.pivots:
+            vec = [-x for x in span.back_substitute(fc)]
+            vec[fc] = ONE
+            basis.append(tuple(vec))
     return basis
 
 
@@ -602,21 +569,36 @@ def algebra_closure_dim(ms: Sequence[Mat]) -> int:
     return span.dim
 
 
+def coboundary_rows(pairs: Sequence[tuple[Mat, Mat]]) -> list[list[Fraction]]:
+    """Rows of the linear map (D_j) -> sum_j (A_j D_j - D_j B_j).
+
+    All blocks are square of one size b.  Row u*b + v gives entry (u, v) of
+    the image; the unknowns are the entries of D_0, D_1, ... in row-major
+    order, one block after the other.
+    """
+    b = pairs[0][0].n
+    width = len(pairs) * b * b
+    rows = []
+    for u in range(b):
+        for v in range(b):
+            row = [ZERO] * width
+            for j, (aj, bj) in enumerate(pairs):
+                base = j * b * b
+                for k in range(b):
+                    row[base + k * b + v] += aj.rows[u][k]
+                    row[base + u * b + k] -= bj.rows[k][v]
+            rows.append(row)
+    return rows
+
+
 def centralizer_dim(ms: Sequence[Mat]) -> int:
     """Dimension of {X : [X, m] = 0 for all m in ms}; 1 certifies triviality."""
     if not ms:
         raise ValueError("need at least one matrix")
     n = ms[0].n
-    rows = []
-    for m in ms:
-        for a in range(n):
-            for b in range(n):
-                row = [ZERO] * (n * n)
-                for k in range(n):
-                    row[a * n + k] += m.rows[k][b]   # (X m)_{ab}
-                    row[k * n + b] -= m.rows[a][k]   # (m X)_{ab}
-                if any(row):
-                    rows.append(row)
+    if any(m.n != n for m in ms):
+        raise ValueError("matrices must share a size")
+    rows = [row for m in ms for row in coboundary_rows([(m, m)]) if any(row)]
     return n * n - rational_rank(rows)
 
 
@@ -625,47 +607,28 @@ def centralizer_dim(ms: Sequence[Mat]) -> int:
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve rows * x = rhs; minimal-pivot solution with free variables 0.
+    """Solve rows * x = rhs; the solution with free variables 0.
 
-    Gauss-Jordan with leftmost pivots (deterministic). Raises
-    NoSolutionError when the system is inconsistent.
+    The pivot columns are those of the reduced row echelon form, so the
+    solution is unique and deterministic.  Raises NoSolutionError when the
+    system is inconsistent.
     """
     if not rows:
         return []
     width = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        aug[r] = [x / aug[r][col] for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][width] != 0:
-            raise NoSolutionError("inconsistent linear system")
-    x = [ZERO] * width
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][width]
-    return x
+    span = IntSpan(width + 1, (list(row) + [b] for row, b in zip(rows, rhs)))
+    if width in span.pivots:
+        raise NoSolutionError("inconsistent linear system")
+    return span.back_substitute(width)[:width]
 
 
 def solve_coboundary_sum(pairs: Sequence[tuple[Mat, Mat]], target: Mat) -> list[Mat]:
     """Solve sum_j (A_j D_j - D_j A'_j) = target for the blocks D_j.
 
     All blocks are square of one size. The solution is the deterministic
-    minimal-pivot one (row-reduced system, leftmost pivots, free variables
-    0). Raises NoSolutionError when the target lies outside the image, which
-    signals equivalent representations or a deficient image.
+    one with free variables 0 (see solve_linear). Raises NoSolutionError
+    when the target lies outside the image, which signals equivalent
+    representations or a deficient image.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -675,20 +638,6 @@ def solve_coboundary_sum(pairs: Sequence[tuple[Mat, Mat]], target: Mat) -> list[
             raise ValueError("all blocks must share one size")
     if target.n != b:
         raise ValueError("target block has wrong size")
-    p1 = len(pairs)
-    width = p1 * b * b
-    rows = []
-    rhs = []
-    for u in range(b):
-        for v in range(b):
-            row = [ZERO] * width
-            for j, (aj, apj) in enumerate(pairs):
-                base = j * b * b
-                for k in range(b):
-                    row[base + k * b + v] += aj.rows[u][k]
-                    row[base + u * b + k] -= apj.rows[k][v]
-            rows.append(row)
-            rhs.append(target.rows[u][v])
-    x = solve_linear(rows, rhs)
+    x = solve_linear(coboundary_rows(pairs), [v for row in target.rows for v in row])
     return [Mat([[x[j * b * b + i * b + v] for v in range(b)] for i in range(b)])
-            for j in range(p1)]
+            for j in range(len(pairs))]

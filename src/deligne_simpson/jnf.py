@@ -44,6 +44,14 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
+def json_int(x) -> int:
+    """x if it is a JSON integer (a bool or a float is not).  Sizes,
+    multiplicities and offsets are checked so at the input boundary only."""
+    if type(x) is not int:
+        raise ValueError("expected a JSON integer, got %.40r" % (x,))
+    return x
+
+
 def dual_partition(p: Partition) -> Partition:
     """Conjugate partition: k-th part counts parts of p that are >= k."""
     if not p:
@@ -123,8 +131,8 @@ class JordanForm:
 
     @staticmethod
     def from_dict(d: dict) -> "JordanForm":
-        j = JordanForm(d["blocks"])
-        if "n" in d and j.n != d["n"]:
+        j = JordanForm({k: [json_int(b) for b in v] for k, v in d["blocks"].items()})
+        if "n" in d and j.n != json_int(d["n"]):
             raise ValueError("size field disagrees with blocks")
         return j
 

@@ -36,7 +36,8 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .jnf import JnfTuple, PreconditionViolation
+from .exactmat import rat_from_str
+from .jnf import JnfTuple, PreconditionViolation, json_int
 
 ZERO = Fraction(0)
 
@@ -186,11 +187,12 @@ class ExponentAssignment:
 
     @staticmethod
     def from_dict(d: dict) -> "ExponentAssignment":
+        offsets = d.get("offsets")
         return ExponentAssignment(
             d["version"],
-            [{k: Fraction(v) for k, v in vj.items()} for vj in d["values"]],
-            [dict(mj) for mj in d["mults"]],
-            d.get("offsets"),
+            [{k: rat_from_str(v) for k, v in vj.items()} for vj in d["values"]],
+            [{k: json_int(m) for k, m in mj.items()} for mj in d["mults"]],
+            offsets and {k: [json_int(o) for o in offs] for k, offs in offsets.items()},
         )
 
 

@@ -211,6 +211,88 @@ class TestErrorsExitTwo:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "ScalingExhaustedError"
 
+    MALFORMED_TUPLES = [
+        {"mats": 5, "alphas": []},
+        {"mats": [{"n": 1, "entries": [["1/0"]]}], "alphas": ["1"]},
+        {"mats": [], "alphas": []},
+        {"mats": [{"n": 2, "entries": ["12", "34"]}], "alphas": ["1"]},
+        {"mats": [{"n": 1, "entries": [["1"]]}], "alphas": "1"},
+    ]
+
+    def test_malformed_matrix_tuple_on_stdin(self, capsys, monkeypatch):
+        import io
+        for bad in self.MALFORMED_TUPLES:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
+            code, out = run(capsys, "verify", "-")
+            assert code == 2, bad
+            assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_malformed_nice_blocks(self, tmp_path, capsys):
+        good = make_example("ex2").to_dict()
+        for blocks in [[good] + [bad] for bad in self.MALFORMED_TUPLES] + [5]:
+            path = write(tmp_path, "blocks.json", {"blocks": blocks})
+            code, out = run(capsys, "construct", "--nice", path, "--m0", "1")
+            assert code == 2, blocks
+            assert "error" in json.loads(out)
+
+    def test_bad_alphas(self, capsys):
+        for text in ("1e400", "1/0", "1.5", "1,,2"):
+            code, out = run(capsys, "construct", "--example", "ex2",
+                            "--alphas", text)
+            assert code == 2, text
+            assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+class TestStrictGrammar:
+    """Sizes, multiplicities and offsets are JSON integers; rationals are
+    strings of the form p or p/q."""
+
+    def test_block_sizes_must_be_integers(self, tmp_path, capsys):
+        for size in (2.7, True, "2", 2.0):
+            t = {"forms": [{"n": 2, "blocks": {"s": [size]}}] * 3}
+            path = write(tmp_path, "t.json", t)
+            code, out = run(capsys, "check", path)
+            assert code == 2, size
+            assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_objects_where_objects_belong(self, tmp_path, capsys):
+        t = {"forms": [{"n": 2, "blocks": [2]}] * 3}
+        code, out = run(capsys, "check", write(tmp_path, "t.json", t))
+        assert code == 2
+        a = self.assignment(values=[{"s": "0"}, {"s": "0"}, ["1/2"]])
+        code, out = run(capsys, "generic", write(tmp_path, "a.json", a))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_size_field_must_be_an_integer(self, tmp_path, capsys):
+        t = {"forms": [{"n": 2.0, "blocks": {"s": [2]}}] * 3}
+        code, out = run(capsys, "check", write(tmp_path, "t.json", t))
+        assert code == 2
+
+    def assignment(self, **changes):
+        a = TestSpectraAndGeneric().payload(minus_one=True)["assignment"]
+        a.update(changes)
+        return a
+
+    def test_rational_values(self, tmp_path, capsys):
+        for value in ("1e400", "1e999999999", "0.5", 0, "1/0"):
+            a = self.assignment(values=[{"s": "0"}, {"s": "0"}, {"s": value}])
+            code, out = run(capsys, "generic", write(tmp_path, "a.json", a))
+            assert code == 2, value
+            assert json.loads(out)["error"]["type"] == "InputError"
+
+    def test_multiplicities_and_offsets(self, tmp_path, capsys):
+        bad = [self.assignment(mults=[{"s": 2}, {"s": 2}, {"s": "2"}]),
+               self.assignment(mults=[{"s": 2}, {"s": 2}, {"s": True}]),
+               self.assignment(offsets={"s": [0, 1.5]}),
+               self.assignment(offsets={"s": "01"})]
+        for a in bad:
+            code, out = run(capsys, "generic", write(tmp_path, "a.json", a))
+            assert code == 2, a
+        good = self.assignment(offsets={"s": [-1, 0]})
+        code, out = run(capsys, "generic", write(tmp_path, "a.json", good))
+        assert code in (0, 1) and "error" not in json.loads(out)
+
 
 class TestStdinAndVerifyDetail:
     def test_check_from_stdin(self, capsys, monkeypatch):

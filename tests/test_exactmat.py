@@ -20,7 +20,10 @@ from deligne_simpson.exactmat import (
     nilpotent_jordan_basis,
     poly_gcd,
     rank,
+    rat_from_str,
+    rational_rank,
     solve_coboundary_sum,
+    solve_linear,
 )
 
 F = Fraction
@@ -259,3 +262,129 @@ class TestPoly:
             q, r = a.divmod(b)
             assert q * b + r == a
             assert r.degree < b.degree or r.is_zero()
+
+
+class TestRationalGrammar:
+    def test_accepts_integers_and_fractions(self):
+        assert rat_from_str("-3") == F(-3)
+        assert rat_from_str("6/4") == F(3, 2)
+        assert rat_from_str("-0/7") == 0
+
+    def test_rejects_everything_else(self):
+        for bad in ("1e400", "1e999999999", "1.5", " 1", "+1", "1/-2", "1/",
+                    "", "0x10", "١", "1_000", 5, None, F(1, 2)):
+            with pytest.raises(ValueError):
+                rat_from_str(bad)
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            rat_from_str("1/0")
+
+    def test_matrix_entries_must_be_nested_arrays(self):
+        with pytest.raises(ValueError):
+            Mat.from_dict({"n": 2, "entries": ["12", "34"]})
+        with pytest.raises(ValueError):
+            Mat.from_dict({"n": True, "entries": [["1"]]})
+
+
+def _random_rational_matrix(rng, rows, cols):
+    """Rank-deficient about half the time: a product through a narrower
+    inner dimension, with some entries zeroed."""
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+    if rng.random() < 0.5:
+        inner = rng.randint(0, min(rows, cols))
+        left = [[entry() for _ in range(inner)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(inner)]
+        return [[sum((left[i][k] * right[k][j] for k in range(inner)), F(0))
+                 for j in range(cols)] for i in range(rows)]
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+class TestKernelAgainstSympy:
+    """The one elimination kernel against sympy's independent rref."""
+
+    @pytest.fixture(autouse=True)
+    def sympy(self):
+        self.sp = pytest.importorskip("sympy")
+
+    def to_sympy(self, rows):
+        return self.sp.Matrix([[self.sp.Rational(x.numerator, x.denominator)
+                                for x in row] for row in rows])
+
+    def from_sympy(self, v):
+        return tuple(F(int(x.p), int(x.q)) for x in v)
+
+    def test_rank(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            rows = _random_rational_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+            assert rational_rank(rows) == self.to_sympy(rows).rank()
+            n = len(rows)
+            square = Mat(_random_rational_matrix(rng, n, n))
+            assert rank(square) == self.to_sympy(square.rows).rank()
+
+    def test_kernel_basis_equals_nullspace(self):
+        rng = random.Random(102)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = Mat(_random_rational_matrix(rng, n, n))
+            ours = kernel_basis(m)
+            theirs = [self.from_sympy(v) for v in self.to_sympy(m.rows).nullspace()]
+            assert ours == theirs
+
+    def test_solve_linear_equals_rref_solution(self):
+        rng = random.Random(103)
+        inconsistent = 0
+        for _ in range(80):
+            r, c = rng.randint(1, 6), rng.randint(1, 6)
+            rows = _random_rational_matrix(rng, r, c)
+            if rng.random() < 0.5:   # consistent by construction
+                x0 = [F(rng.randint(-2, 2)) for _ in range(c)]
+                rhs = [sum((a * x for a, x in zip(row, x0)), F(0)) for row in rows]
+            else:
+                rhs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)]
+            aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+            red, pivots = self.to_sympy(aug).rref()
+            if c in pivots:
+                inconsistent += 1
+                with pytest.raises(NoSolutionError):
+                    solve_linear(rows, rhs)
+                continue
+            expected = [F(0)] * c
+            for i, p in enumerate(pivots):
+                expected[p] = F(int(red[i, c].p), int(red[i, c].q))
+            assert solve_linear(rows, rhs) == expected
+        assert inconsistent > 5
+
+    def test_inverse(self):
+        rng = random.Random(104)
+        singular = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = Mat(_random_rational_matrix(rng, n, n))
+            sm = self.to_sympy(m.rows)
+            if sm.det() == 0:
+                singular += 1
+                with pytest.raises(NoSolutionError):
+                    m.inv()
+                continue
+            expected = [self.from_sympy(sm.inv().row(i)) for i in range(n)]
+            assert m.inv().rows == tuple(expected)
+        assert singular > 5
+
+    def test_centralizer_dim(self):
+        # vec(XM - MX) = (M^T kron I - I kron M) vec(X), stacked over M
+        sp = self.sp
+        rng = random.Random(105)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            ms = [Mat(_random_rational_matrix(rng, n, n))
+                  for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                ms = [jordan_nilpotent_matrix([n])] + ms[:1]
+            eye = sp.eye(n)
+            system = sp.Matrix.vstack(*[
+                sp.kronecker_product(self.to_sympy(m.rows).T, eye)
+                - sp.kronecker_product(eye, self.to_sympy(m.rows)) for m in ms])
+            assert centralizer_dim(ms) == n * n - system.rank()
