@@ -1,20 +1,32 @@
 """Enumeration of diagonal Jordan form tuples by index of rigidity.
 
-Rigid tuples (index 2, terminal size one) are generated bottom-up: starting
-from the size-one tuple, every tuple is extended by all inverse reduction
-steps, i.e. all ways to re-grow the multiplicity of a chosen (possibly
-fresh) eigenvalue per form so that one forward step maps the extension back
-to the source.  The base lists for index zero and the scaled series behind
-the negative-index machinery are spelled out explicitly.
+Everything here works on integer multiplicity vectors.  For a diagonal
+tuple of size n every quantity is a closed form in the multiplicities m:
+the class dimension is n^2 - sum m^2, the rank defect is n - max m, and a
+reduction step to size n1 subtracts n - n1 from a largest multiplicity.
+
+Rigid tuples (index 2, terminal size one) are generated bottom-up from the
+size-one tuple, the combinatorial counterpart of Katz's algorithm for rigid
+local systems: every tuple is extended by all inverse reduction steps.  Per
+form one picks the multiplicity mu that the shrunk eigenvalue keeps (an
+existing one or a fresh zero); the extension has size n = p n1 - sum mu,
+and that eigenvalue regains grow = n - n1 > 0, which must leave it largest.
+No forward check is needed: the extension has sum r = n + n1 < 2n, each
+largest multiplicity mu + grow >= grow makes the deleted-form inequalities
+hold, and the forward step to size sum r - n = n1 takes grow back off a
+largest multiplicity, returning mu.  The base lists for index zero and the
+scaled series behind the negative-index machinery are spelled out
+explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional
 
 from .jnf import JnfTuple, JordanForm, Partition, as_partition
-from .reduction import ConditionReport, condition_report, psi_step
+from .reduction import ConditionReport
 
 
 class UnsupportedIndexError(ValueError):
@@ -35,14 +47,13 @@ class MvTuple:
     def p(self) -> int:
         return len(self.mvs) - 1
 
-    def canonical(self) -> "MvTuple":
-        return MvTuple(tuple(sorted(self.mvs, reverse=True)))
-
     def to_jnf_tuple(self) -> JnfTuple:
         return JnfTuple([JordanForm.diagonal(mv) for mv in self.mvs])
 
     def report(self) -> ConditionReport:
-        return condition_report(self.to_jnf_tuple())
+        n = self.n
+        ds = [n * n - sum(m * m for m in mv) for mv in self.mvs]
+        return ConditionReport.of(n, ds, [n - mv[0] for mv in self.mvs])
 
     def to_dict(self) -> dict:
         return {"n": self.n, "mvs": [list(mv) for mv in self.mvs],
@@ -53,70 +64,46 @@ class MvTuple:
         return MvTuple(tuple(as_partition(mv) for mv in mvs))
 
 
-def _forward_reduces_to(ext: MvTuple, src: MvTuple) -> bool:
-    t = ext.to_jnf_tuple()
-    rep = condition_report(t)
-    if rep.omega_holds or not rep.beta_holds or t.n <= 1:
-        return False
-    smaller, _ = psi_step(t)
-    got = MvTuple(tuple(f.mv() for f in smaller.forms)).canonical()
-    return got == src.canonical()
+def _without(mv: Partition, mu: int) -> Partition:
+    """mv with one part equal to mu removed; mv itself for mu = 0."""
+    if not mu:
+        return mv
+    i = mv.index(mu)
+    return mv[:i] + mv[i + 1:]
 
 
 def inverse_psi_extensions(t: MvTuple) -> list[MvTuple]:
-    """All one-step predecessors of t under the reduction map.
-
-    Per form one chooses the multiplicity mu' that the shrunk eigenvalue
-    kept in t (an existing component or a fresh zero); the predecessor size
-    is n = p * n1 - sum of the mu', the chosen eigenvalue regains n - n1,
-    and a forward step must map the result back to t.
-    """
-    n1 = t.n
-    p = t.p
-    per_form_choices = []
-    for mv in t.mvs:
-        choices = sorted(set(mv)) + [0]
-        per_form_choices.append(choices)
-
-    out: dict[tuple, MvTuple] = {}
-
-    def rec(idx: int, picked: list[int]):
-        if idx == len(t.mvs):
-            n = p * n1 - sum(picked)
-            if n <= n1:
-                return
-            grow = n - n1
-            new_mvs = []
-            for mv, mu in zip(t.mvs, picked):
-                parts = list(mv)
-                if mu > 0:
-                    parts.remove(mu)
-                new_mult = mu + grow
-                parts.append(new_mult)
-                if new_mult != max(parts):
-                    return
-                new_mvs.append(as_partition(parts))
-            cand = MvTuple(tuple(new_mvs)).canonical()
-            key = cand.mvs
-            if key not in out and _forward_reduces_to(cand, t):
-                out[key] = cand
-            return
-        for mu in per_form_choices[idx]:
-            rec(idx + 1, picked + [mu])
-
-    rec(0, [])
-    return sorted(out.values(), key=lambda m: (m.n, m.mvs))
+    """All one-step predecessors of t under the reduction map, canonical
+    (forms sorted) and ordered by (n, mvs); see the module docstring."""
+    n1, p = t.n, t.p
+    out = set()
+    for mus in product(*(sorted(set(mv)) + [0] for mv in t.mvs)):
+        grow = (p - 1) * n1 - sum(mus)
+        if grow <= 0:
+            continue
+        forms = []
+        for mv, mu in zip(t.mvs, mus):
+            rest = _without(mv, mu)
+            if rest and rest[0] > mu + grow:
+                break
+            forms.append((mu + grow,) + rest)
+        else:
+            out.add(tuple(sorted(forms, reverse=True)))
+    return [MvTuple(mvs) for mvs in sorted(out, key=lambda mvs: (sum(mvs[0]), mvs))]
 
 
 def enumerate_rigid(n_max: int, p: int) -> list[MvTuple]:
-    """All diagonal tuples of size <= n_max whose chain ends at size one.
+    """All diagonal tuples of p + 1 forms and size <= n_max whose chain
+    ends at size one.
 
     Generated as the closure of the inverse reduction steps from the
     size-one tuple, deduplicated up to reordering of eigenvalues and forms.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    seed = MvTuple(tuple([(1,)] * (p + 1)))
+    if p < 1:
+        raise ValueError("p must be at least 1 (a tuple has p + 1 >= 2 forms)")
+    seed = MvTuple(((1,),) * (p + 1))
     seen = {seed.mvs: seed}
     frontier = [seed]
     while frontier:
@@ -131,14 +118,6 @@ def enumerate_rigid(n_max: int, p: int) -> list[MvTuple]:
     return sorted(seen.values(), key=lambda m: (m.n, m.mvs))
 
 
-_L0 = [
-    MvTuple.of([1, 1], [1, 1], [1, 1], [1, 1]),
-    MvTuple.of([1, 1, 1], [1, 1, 1], [1, 1, 1]),
-    MvTuple.of([1, 1, 1, 1], [1, 1, 1, 1], [2, 2]),
-    MvTuple.of([1, 1, 1, 1, 1, 1], [2, 2, 2], [3, 3]),
-]
-
-
 def _series(d: int) -> list[MvTuple]:
     return [
         MvTuple.of([d, d], [d, d], [d, d], [d, d]),
@@ -151,12 +130,13 @@ def _series(d: int) -> list[MvTuple]:
 def base_list(h: int, n_max: Optional[int] = None) -> list[MvTuple]:
     """Starting tuples of the rigidity-index machinery.
 
-    h = 0 returns the four base tuples; negative even h returns the four
-    scaled series over all scale factors with size at most n_max.  Every
-    returned tuple satisfies the rank inequality with equality.
+    h = 0 returns the four base tuples (the series at scale one); negative
+    even h returns the four scaled series over all scale factors with size
+    at most n_max.  Every returned tuple satisfies the rank inequality with
+    equality.
     """
     if h == 0:
-        return list(_L0)
+        return _series(1)
     if h > 0 or h % 2:
         raise UnsupportedIndexError("base lists exist for h = 0 or even h < 0")
     if n_max is None:

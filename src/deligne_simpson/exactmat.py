@@ -126,19 +126,8 @@ class Mat:
         c = Fraction(c)
         return Mat([[c * a for a in row] for row in self.rows])
 
-    def power(self, k: int) -> "Mat":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Mat.identity(self.n)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)
-
-    def trace(self) -> Fraction:
-        return sum((self.rows[i][i] for i in range(self.n)), ZERO)
 
     def inv(self) -> "Mat":
         """Exact inverse, column j solving self x = e_j over the span of the
@@ -287,10 +276,6 @@ class Poly:
     @staticmethod
     def zero() -> "Poly":
         return Poly([])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
 
     @property
     def degree(self) -> int:

@@ -98,9 +98,6 @@ class JordanForm:
     def multiplicities(self) -> dict[str, int]:
         return {k: sum(p) for k, p in self._items}
 
-    def is_diagonal(self) -> bool:
-        return all(set(p) == {1} for _, p in self._items)
-
     def is_single_label(self) -> bool:
         return len(self._items) == 1
 
@@ -203,14 +200,10 @@ def d_of(j: JordanForm) -> int:
     """Dimension of the conjugacy class: n^2 minus its centralizer dimension.
 
     The centralizer of a Jordan matrix has dimension
-    sum over labels of sum_{i,i'} min(b_i, b_{i'}).
+    sum over labels of sum_{i,i'} min(b_i, b_{i'}), which equals the sum of
+    the squared parts of the dual partitions.
     """
-    cent = 0
-    for p in j.blocks.values():
-        for a in p:
-            for b in p:
-                cent += min(a, b)
-    return j.n * j.n - cent
+    return j.n * j.n - sum(k * k for p in j.blocks.values() for k in dual_partition(p))
 
 
 # ---------------------------------------------------------------------------

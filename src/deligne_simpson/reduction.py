@@ -36,6 +36,24 @@ class ConditionReport:
     kappa: int
     rigidity_index: int
 
+    @staticmethod
+    def of(n: int, ds: Sequence[int], rs: Sequence[int]) -> "ConditionReport":
+        """Report of a tuple of size n from its class dimensions ds and
+        rank defects rs, one per form."""
+        sum_d, sum_r = sum(ds), sum(rs)
+        kappa = sum_d - (2 * n * n - 2)
+        return ConditionReport(
+            n=n,
+            sum_d=sum_d,
+            sum_r=sum_r,
+            alpha_holds=kappa >= 0,
+            alpha_equality=kappa == 0,
+            beta_holds=all(sum_r - rj >= n for rj in rs),
+            omega_holds=sum_r >= 2 * n,
+            kappa=kappa,
+            rigidity_index=2 - kappa,
+        )
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -111,23 +129,8 @@ class Verdict:
 
 
 def condition_report(t: JnfTuple) -> ConditionReport:
-    n = t.n
-    ds = [d_of(f) for f in t.forms]
-    rs = [r_of(f) for f in t.forms]
-    sum_d, sum_r = sum(ds), sum(rs)
-    kappa = sum_d - (2 * n * n - 2)
-    beta = all(sum_r - rj >= n for rj in rs)
-    return ConditionReport(
-        n=n,
-        sum_d=sum_d,
-        sum_r=sum_r,
-        alpha_holds=kappa >= 0,
-        alpha_equality=kappa == 0,
-        beta_holds=beta,
-        omega_holds=sum_r >= 2 * n,
-        kappa=kappa,
-        rigidity_index=2 - kappa,
-    )
+    return ConditionReport.of(t.n, [d_of(f) for f in t.forms],
+                              [r_of(f) for f in t.forms])
 
 
 def _choose_label(form: JordanForm) -> str:

@@ -12,7 +12,10 @@ from deligne_simpson.catalog import (
     inverse_psi_extensions,
 )
 from deligne_simpson.jnf import JnfTuple, JordanForm
-from deligne_simpson.reduction import is_good, reduce_chain
+from deligne_simpson.reduction import condition_report, is_good, psi_step, reduce_chain
+
+# (p, n_max) of the catalogs the differential tests walk record by record
+CATALOGS = ((2, 9), (3, 7), (4, 6))
 
 
 def all_partitions(n):
@@ -52,18 +55,19 @@ class TestInversePsi:
             assert e.n == 2
 
     def test_round_trip_property(self):
-        t = MvTuple.of([1, 1], [1, 1], [1, 1])
-        for ext in inverse_psi_extensions(t):
-            tt = ext.to_jnf_tuple()
-            from deligne_simpson.reduction import psi_step
-            smaller, _ = psi_step(tt)
-            got = MvTuple(tuple(f.mv() for f in smaller.forms)).canonical()
-            assert got.mvs == t.canonical().mvs
+        # the forward check the closure does not need, kept as an oracle:
+        # one reduction step of every extension gives back its source
+        for p, n_max in CATALOGS:
+            for src in enumerate_rigid(n_max, p):
+                for ext in inverse_psi_extensions(src):
+                    smaller, n1 = psi_step(ext.to_jnf_tuple())
+                    got = tuple(sorted((f.mv() for f in smaller.forms), reverse=True))
+                    assert (n1, got) == (src.n, src.mvs)
 
     def test_n3_extension_present(self):
         t = MvTuple.of([1, 1], [1, 1], [1, 1])
         exts = [e.mvs for e in inverse_psi_extensions(t)]
-        assert MvTuple.of([2, 1], [1, 1, 1], [1, 1, 1]).canonical().mvs in exts
+        assert MvTuple.of([2, 1], [1, 1, 1], [1, 1, 1]).mvs in exts
 
 
 class TestEnumerateRigid:
@@ -86,10 +90,15 @@ class TestEnumerateRigid:
                 assert m.report().kappa == 0
 
     def test_completeness_against_brute_force(self):
-        for p in (2, 3):
+        for p in (2, 3, 4):
             ours = sorted(m.mvs for m in enumerate_rigid(6, p))
             brute = brute_rigid(6, p)
             assert ours == brute
+
+    def test_report_matches_general_engine(self):
+        for p, n_max in CATALOGS:
+            for m in enumerate_rigid(n_max, p):
+                assert m.report() == condition_report(m.to_jnf_tuple())
 
     def test_alpha_equality_on_outputs(self):
         for m in enumerate_rigid(5, 2):

@@ -242,6 +242,12 @@ class TestErrorsExitTwo:
             assert code == 2, text
             assert json.loads(out)["error"]["type"] == "ValueError"
 
+    def test_enumerate_p_below_one(self, capsys):
+        for p in ("0", "-1"):
+            code, out = run(capsys, "enumerate", "--n-max", "5", "--p", p)
+            assert code == 2, p
+            assert json.loads(out)["error"]["type"] == "ValueError"
+
 
 class TestStrictGrammar:
     """Sizes, multiplicities and offsets are JSON integers; rationals are

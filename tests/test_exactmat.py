@@ -64,7 +64,10 @@ class TestRank:
         for _ in range(20):
             n = rng.randint(2, 5)
             m = Mat([[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
-            ranks = [rank(m.power(k)) for k in range(n + 1)]
+            powers = [Mat.identity(n)]
+            for _ in range(n):
+                powers.append(powers[-1] @ m)
+            ranks = [rank(pw) for pw in powers]
             assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
     def test_rational_entries(self):
@@ -117,7 +120,7 @@ class TestCharpoly:
             m = Mat([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                      for _ in range(n)])
             cp = charpoly(m)
-            assert cp[n - 1] == -m.trace()
+            assert cp[n - 1] == -sum(m.rows[i][i] for i in range(n))
             # det(xI - m) at x=0 is (-1)^n det(m); check against kernel
             if cp[0] != 0:
                 assert not kernel_basis(m)
@@ -247,7 +250,7 @@ class TestCoboundarySolver:
 
 class TestPoly:
     def test_gcd_and_squarefree(self):
-        x = Poly.x()
+        x = Poly([0, 1])
         p = (x - Poly([1])) * (x - Poly([1])) * (x - Poly([2]))
         g = poly_gcd(p, p.derivative())
         assert g == (x - Poly([1]))
@@ -388,3 +391,86 @@ class TestKernelAgainstSympy:
                 sp.kronecker_product(self.to_sympy(m.rows).T, eye)
                 - sp.kronecker_product(eye, self.to_sympy(m.rows)) for m in ms])
             assert centralizer_dim(ms) == n * n - system.rank()
+
+
+class TestStructureAgainstSympy:
+    """charpoly, nilpotent Jordan types and algebra closures against sympy,
+    on seeded small integer matrices."""
+
+    @pytest.fixture(autouse=True)
+    def sympy(self):
+        self.sp = pytest.importorskip("sympy")
+
+    def to_sympy(self, m):
+        return self.sp.Matrix([[int(x) for x in row] for row in m.rows])
+
+    def random_int_mat(self, rng, n):
+        return Mat([[F(rng.randint(-3, 3)) if rng.random() < 0.7 else F(0)
+                     for _ in range(n)] for _ in range(n)])
+
+    def random_nilpotent(self, rng, n):
+        """A strictly upper triangular integer matrix conjugated by a
+        unimodular one, so the entries stay integers."""
+        m = Mat([[F(rng.randint(-2, 2)) if j > i and rng.random() < 0.6 else F(0)
+                  for j in range(n)] for i in range(n)])
+        eye = {(k, k): F(1) for k in range(n)}
+        for _ in range(2 * n if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            c = F(rng.choice((-1, 1)))
+            m = (Mat.from_entries(n, eye | {(i, j): c}) @ m
+                 @ Mat.from_entries(n, eye | {(i, j): -c}))
+        return m
+
+    def test_charpoly(self):
+        x = self.sp.Symbol("x")
+        rng = random.Random(201)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = self.random_int_mat(rng, n)
+            if rng.random() < 0.3:
+                m = self.random_nilpotent(rng, n)
+            theirs = self.to_sympy(m).charpoly(x).all_coeffs()[::-1]
+            assert charpoly(m).coeffs == tuple(F(int(c)) for c in theirs)
+
+    def test_jordan_type_nilpotent(self):
+        rng = random.Random(202)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            m = self.random_nilpotent(rng, n)
+            jm = self.to_sympy(m).jordan_form(calc_transform=False)
+            sizes, run = [], 1
+            for i in range(n):
+                if i + 1 < n and jm[i, i + 1] == 1:
+                    run += 1
+                else:
+                    sizes.append(run)
+                    run = 1
+            assert jordan_type_nilpotent(m) == tuple(sorted(sizes, reverse=True))
+
+    def test_algebra_closure_dim(self):
+        sp = self.sp
+        from sympy.polys.matrices import DomainMatrix
+        rng = random.Random(203)
+        for trial in range(30):
+            n = rng.randint(2, 4)
+            gens = [self.random_int_mat(rng, n) for _ in range(2)]
+            if trial % 3 == 1:     # upper triangular: a proper subalgebra
+                gens = [Mat([[a if j >= i else F(0) for j, a in enumerate(row)]
+                             for i, row in enumerate(g.rows)]) for g in gens]
+            elif trial % 3 == 2:   # one nilpotent generator
+                gens = [self.random_nilpotent(rng, n)]
+            sgens = [sp.ImmutableMatrix(self.to_sympy(g)) for g in gens]
+            level = {sp.ImmutableMatrix(sp.eye(n))}
+            words = set(level)
+            dim = 1
+            for _ in range(n * n + 1):
+                level = {w * g for w in level for g in sgens}
+                words |= level
+                stacked = sp.Matrix([list(w) for w in words])
+                grown = DomainMatrix.from_Matrix(stacked).to_field().rank()
+                if grown == dim:
+                    break
+                dim = grown
+            else:
+                raise AssertionError("word lengths never stabilized")
+            assert algebra_closure_dim(gens) == dim

@@ -62,6 +62,20 @@ class TestInvariants:
     def test_d_single_2_block(self):
         assert d_of(JordanForm.nilpotent([2])) == 2
 
+    def test_d_against_pairwise_min_oracle(self):
+        def oracle(j):
+            cent = sum(min(a, b) for p in j.blocks.values() for a in p for b in p)
+            return j.n * j.n - cent
+
+        forms = [JordanForm.nilpotent(p) for n in range(1, 9)
+                 for p in all_partitions(n)]
+        forms += [JordanForm({"a": p, "b": q})
+                  for n in range(2, 9) for k in range(1, n)
+                  for p in all_partitions(k) for q in all_partitions(n - k)]
+        assert len(forms) == 66 + 301
+        for j in forms:
+            assert d_of(j) == oracle(j)
+
 
 class TestDualAndCorrespondence:
     def test_dual_examples(self):
@@ -78,7 +92,7 @@ class TestDualAndCorrespondence:
     def test_corresponding_diagonal_of_2_2(self):
         j = JordanForm.nilpotent([2, 2])
         d = corresponding_diagonal(j)
-        assert d.is_diagonal()
+        assert all(set(p) == {1} for p in d.blocks.values())
         assert d.mv() == (2, 2)
 
     def test_corresponding_diagonal_of_3_1(self):
